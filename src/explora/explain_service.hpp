@@ -65,12 +65,11 @@ struct ExplanationResult {
 /// Deterministic explanation-serving layer. Single-threaded by contract:
 /// submit() and on_tick() must be called from the driving (simulation)
 /// thread. submit() itself is nonblocking and allocation-free — it is the
-/// path a TTI loop may call — and the underlying queue additionally
-/// tolerates concurrent producers (exercised by the tsan enqueue leg).
+/// path a TTI loop may call.
 class ExplainService {
  public:
   struct Config {
-    /// Admission bound: requests queued at once (rounded up to pow2).
+    /// Admission bound: requests queued at once.
     std::size_t queue_capacity = 64;
     /// Admission bound: queued + executing; 0 = queue capacity + workers.
     std::size_t in_flight_budget = 0;
@@ -225,9 +224,7 @@ class ExplainService {
   std::vector<CacheEntry> cache_;  ///< one last-good slot per output head
   std::vector<ExplanationResult> drained_;
   std::vector<std::size_t> finished_scratch_;
-  xai::serving::Request pop_scratch_;
-  // atomics-ok: id-allocator (uniqueness only; no ordering implied by ids)
-  std::atomic<std::uint64_t> next_id_{1};
+  std::uint64_t next_id_ = 1;
   std::uint64_t last_breaker_trips_ = 0;
 
   std::uint64_t submitted_ = 0;

@@ -1,14 +1,13 @@
-// Unit tests for the explanation-serving layer: the bounded MPMC queue,
+// Unit tests for the explanation-serving layer: the bounded request ring,
 // the unified degradation ladder, the circuit breaker, and the
 // ExplainService composed from them (admission, deadline shedding,
 // tier walk-down, caching, fault fallback, determinism).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstring>
-#include <set>
-#include <thread>
+#include <map>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -86,41 +85,17 @@ TEST(BoundedRequestQueue, FifoOrderCapacityBoundAndWraparound) {
   EXPECT_EQ(queue.high_water(), 4u);
 }
 
-TEST(BoundedRequestQueue, CapacityRoundsUpToPowerOfTwo) {
+TEST(BoundedRequestQueue, CapacityIsExactlyTheConfiguredValue) {
   BoundedRequestQueue queue(5, 1);
-  EXPECT_EQ(queue.capacity(), 8u);
-}
-
-TEST(BoundedRequestQueue, ConcurrentEnqueueDeliversEveryRequestOnce) {
-  constexpr std::size_t kProducers = 4;
-  constexpr std::uint64_t kPerProducer = 200;
-  BoundedRequestQueue queue(8, 2);
-
-  std::atomic<std::uint64_t> popped{0};
-  std::set<std::uint64_t> seen;
-  std::thread consumer([&] {
-    Request out;
-    out.x.resize(2);
-    while (popped.load() < kProducers * kPerProducer) {
-      if (queue.pop_blocking(out, 1024)) {
-        seen.insert(out.id);
-        popped.fetch_add(1);
-      }
-    }
-  });
-  std::vector<std::thread> producers;
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&queue, p] {
-      const std::vector<double> x{static_cast<double>(p), 1.0};
-      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-        queue.push_blocking(p * kPerProducer + i + 1, 0, ctx(0), 0, 100, x);
-      }
-    });
+  EXPECT_EQ(queue.capacity(), 5u);
+  const std::vector<double> x{1.0};
+  for (std::uint64_t id = 1; id <= 5; ++id) {
+    EXPECT_TRUE(queue.try_push(id, 0, ctx(0), 0, 10, x));
+    EXPECT_EQ(queue.depth(), id);
   }
-  for (auto& t : producers) t.join();
-  consumer.join();
-  EXPECT_EQ(seen.size(), kProducers * kPerProducer);  // each exactly once
-  EXPECT_LE(queue.high_water(), queue.capacity());
+  EXPECT_FALSE(queue.try_push(6, 0, ctx(0), 0, 10, x));
+  EXPECT_EQ(queue.depth(), 5u);
+  EXPECT_EQ(queue.high_water(), 5u);
 }
 
 // ---------------------------------------------------------------------------
@@ -268,6 +243,56 @@ TEST(CircuitBreaker, HalfOpenProbeFailureReopensImmediately) {
   EXPECT_EQ(breaker.trips(), 2u);
 }
 
+TEST(CircuitBreaker, OpenHalfOpenProbeOrderingsKeepInvariants) {
+  // Two callers drive one breaker: a failing eval path {fail@1, fail@2}
+  // and a tick/probe path {tick@5, success@6}. Every merge of the two
+  // call sequences that keeps each caller's own order (6 of them) runs
+  // on a fresh breaker, with the invariants checked after each call.
+  BreakerConfig config;
+  config.failure_threshold = 2;
+  config.open_ticks = 2;
+  config.successes_to_close = 1;
+
+  std::array<int, 4> callers{0, 0, 1, 1};  // who makes each call
+  std::map<CircuitBreaker::State, int> final_states;
+  int merges = 0;
+  int untripped = 0;
+  do {
+    CircuitBreaker breaker(config);
+    std::array<int, 2> calls_made{0, 0};
+    for (const int caller : callers) {
+      const int call = calls_made[static_cast<std::size_t>(caller)]++;
+      if (caller == 0) {
+        breaker.record_failure(call == 0 ? 1 : 2);
+      } else if (call == 0) {
+        breaker.on_tick(5);
+      } else {
+        breaker.record_success(6);
+      }
+      ASSERT_EQ(breaker.allow_eval(),
+                breaker.state() != CircuitBreaker::State::kOpen);
+      ASSERT_LE(breaker.trips(), 1u);
+      ASSERT_GE(breaker.consecutive_failures(), 0);
+      ASSERT_LE(breaker.consecutive_failures(), 2);
+    }
+    if (breaker.trips() == 0) {
+      // A success between the two failures reset the streak, so the
+      // breaker never left the closed state.
+      EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
+      ++untripped;
+    }
+    ++final_states[breaker.state()];
+    ++merges;
+  } while (std::next_permutation(callers.begin(), callers.end()));
+
+  EXPECT_EQ(merges, 6);
+  EXPECT_GT(untripped, 0);
+  // The ordering matters: the run ends closed when the probe lands after
+  // the trip's open window, open when the trip comes after the probe.
+  EXPECT_GT(final_states[CircuitBreaker::State::kClosed], 0);
+  EXPECT_GT(final_states[CircuitBreaker::State::kOpen], 0);
+}
+
 TEST(CostModel, WalksDownToTheCheapestFittingTier) {
   CostModel costs;  // {128, 32, 4, 1}
   EXPECT_EQ(costs.cheapest_tier_fitting(200, Tier::kExact), Tier::kExact);
@@ -372,7 +397,7 @@ TEST(ExplainService, ServesExactTierWhenIdleWithSimulatedLatency) {
 
 TEST(ExplainService, AdmissionShedsWithReasonOnceBoundsAreHit) {
   ExplainService::Config config = small_config();
-  config.queue_capacity = 2;      // rounds to 2
+  config.queue_capacity = 2;
   config.in_flight_budget = 2;    // tighter than capacity + workers
   ServiceFixture fx(config);
 

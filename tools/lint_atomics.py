@@ -2,9 +2,9 @@
 """Cross-TU atomics discipline lint for the EXPLORA C++ sources.
 
 The lock-free core (DESIGN.md SS14) is small by policy: every use of
-std::atomic / interleave::Atomic / compiler atomic intrinsics must live
-in an explicitly allowlisted file, and every atomic operation must spell
-out its memory_order. On top of those local rules, the lint builds a
+std::atomic / compiler atomic intrinsics must live in an explicitly
+allowlisted file, and every atomic operation must spell out its
+memory_order. On top of those local rules, the lint builds a
 cross-translation-unit table of atomic variables (declarations in
 headers, operations in any allowlisted TU, keyed by variable name) and
 checks ordering PAIRING per variable:
@@ -21,6 +21,8 @@ checks ordering PAIRING per variable:
                             must say WHY relaxed is sound, via a marker
                             on its declaration
   atomics-marker-unknown    a marker category outside the vocabulary
+  atomic-allowlist-stale    an ALLOWLIST path that does not exist, so a
+                            reserved slot cannot outlive its subject
 
 The reasoning marker grammar is
 
@@ -39,10 +41,11 @@ point - cross-TU pairing cannot be checked per-file, and names of
 atomics in this codebase are unique or deliberately aligned.
 
 Modes: --json PATH (machine-readable report), --self-test (embedded
-corpora), --prove-detection (copies src/ to a temp tree, injects a
-relaxed-publish ordering bug and an unapproved atomic, and proves both
-are caught while the clean copy stays clean), --fixture-test DIR
-(regression against DIR/expected.json).
+corpora), --prove-detection (copies src/ to a temp tree, appends a
+cross-TU relaxed-publish ordering bug to the telemetry header/source
+pair, adds an unapproved atomic, and proves both are caught while the
+clean copy stays clean), --fixture-test DIR (regression against
+DIR/expected.json).
 
 Exit status: 0 = clean, 1 = findings, 2 = usage error.
 """
@@ -68,25 +71,13 @@ from lintlib import line_of, strip_comments_and_strings
 ALLOWLIST: dict[str, str] = {
     "src/common/contracts.hpp":
         "single-writer scope guard + contract-handler gate",
-    "src/common/interleave.hpp":
-        "the model-check Atomic shim itself (instrumentation layer)",
-    "src/common/interleave.cpp":
-        "model-check scheduler internals",
     "src/common/lockorder.cpp": "lock-diagnostics counters",
     "src/common/log.cpp": "log-level gate flag",
     "src/common/parallel.cpp": "work-claim ticket for the chunked pool",
     "src/common/telemetry.hpp":
         "relaxed counter/gauge/histogram/span folds",
     "src/common/telemetry.cpp": "histogram bucket folds",
-    "src/common/wsdeque.hpp":
-        "reserved: Chase-Lev work-stealing deque (ROADMAP item 2)",
-    "src/common/wsdeque.cpp":
-        "reserved: Chase-Lev work-stealing deque (ROADMAP item 2)",
-    "src/explora/explain_service.hpp": "explanation id allocator",
-    "src/explora/explain_service.cpp": "explanation id allocator",
     "src/ml/gemm.cpp": "SIMD backend dispatch slot",
-    "src/xai/serving.hpp": "bounded MPMC request queue (Vyukov ring)",
-    "src/xai/serving.cpp": "bounded MPMC request queue (Vyukov ring)",
     "src/xai/shap.hpp": "model-eval tally",
     "src/xai/shap.cpp": "model-eval tally",
 }
@@ -100,17 +91,12 @@ VOCABULARY = frozenset([
     "pre-publication-init",  # store before any reader thread can exist
     "approx-snapshot",       # racy read of a best-effort statistic
     "dispatch-slot",         # any racing reader sees a valid value
-    "id-allocator",          # uniqueness only; ids imply no ordering
     "claim-ticket",          # slot claim; a separate release publishes
-    "owner-handoff",         # ownership transfer documented at the site
-    "bounded-retry",         # retry count bounded by concurrent writers
-    "model-check-shim",      # the interleave instrumentation layer
 ])
 
 #: Any atomic machinery at all - the allowlist gate.
 ATOMIC_TOKEN = re.compile(
     r"\bstd\s*::\s*atomic(?:_(?:flag|ref|thread_fence|signal_fence))?\b"
-    r"|\binterleave\s*::\s*Atomic\b"
     r"|\b__atomic_\w+|\b__sync_\w+")
 
 #: Member operations whose memory_order argument we audit. clear() and
@@ -132,15 +118,14 @@ ORDER_TOKEN = re.compile(
     r"\bmemory_order(?:_|\s*::\s*)"
     r"(relaxed|consume|acquire|release|acq_rel|seq_cst)\b")
 
-#: Identifiers that forward a memory_order parameter (the interleave
-#: shim, wrappers taking an `order` argument): explicit by construction.
+#: Identifiers that forward a memory_order parameter (wrappers taking an
+#: `order` argument): explicit by construction.
 FORWARDED_ORDER = re.compile(r"\b(?:order|success|failure|mo)\b")
 
 #: Declaration heads: the atomic template whose variable name follows the
 #: closing angle bracket (possibly through `[]>`, `&`, `*` for
 #: unique_ptr-of-array and reference parameters).
-DECL_TOKEN = re.compile(
-    r"\b(?:std\s*::\s*atomic|(?:[\w:]+\s*::\s*)?Atomic)\s*<")
+DECL_TOKEN = re.compile(r"\bstd\s*::\s*atomic\s*<")
 
 ATOMICS_OK = re.compile(r"//\s*atomics-ok:\s*([\w-]+)(?:\s*\(([^)]*)\))?")
 
@@ -277,8 +262,8 @@ class Var:
 def scan_decls(rel: str, code: str, raw_lines: list[str],
                variables: dict[str, Var]) -> None:
     """Registers every atomic variable declared in one allowlisted file:
-    `std::atomic<T> name`, `interleave::Atomic<T> name`, atomics behind
-    `unique_ptr<...[]>`, and reference parameters."""
+    `std::atomic<T> name`, atomics behind `unique_ptr<...[]>`, and
+    reference parameters."""
     for m in DECL_TOKEN.finditer(code):
         open_angle = code.index("<", m.start())
         close = match_bracket(code, open_angle, "<", ">")
@@ -411,6 +396,17 @@ def analyze(files: dict[str, str], allowlist: dict[str, str]
     return variables, findings, markers
 
 
+def stale_allowlist(files: dict[str, str], allowlist: dict[str, str]
+                    ) -> list[tuple[str, int, str, str]]:
+    """One finding per allowlist path with no source file behind it: a
+    slot reserved for code that does not exist would silently admit
+    atomics the day such a file appears."""
+    return [(rel, 0, "atomic-allowlist-stale",
+             f"ALLOWLIST names '{rel}', which does not exist; drop the "
+             f"slot from tools/lint_atomics.py")
+            for rel in sorted(allowlist) if rel not in files]
+
+
 # --------------------------------------------------------------------------
 # Drivers.
 
@@ -452,6 +448,7 @@ def run_lint(root: pathlib.Path, json_path: pathlib.Path | None) -> int:
     if not files:
         return lintlib.no_sources_error("lint_atomics", root)
     variables, findings, markers = analyze(files, ALLOWLIST)
+    findings += stale_allowlist(files, ALLOWLIST)
     if json_path is not None:
         write_json_report(json_path, files, variables, findings, markers)
     return lintlib.report_findings(
@@ -461,14 +458,16 @@ def run_lint(root: pathlib.Path, json_path: pathlib.Path | None) -> int:
          "categories are a closed vocabulary; extending it is an edit to "
          "tools/lint_atomics.py reviewed like any policy change",
          "atomic-outside-allowlist has no marker: move the code or earn "
-         "an allowlist slot"])
+         "an allowlist slot",
+         "atomic-allowlist-stale has no marker: drop the slot until the "
+         "file exists"])
 
 
 # --------------------------------------------------------------------------
 # Self-test corpora.
 
 BAD_ATOMICS = {
-    "src/common/wsdeque.hpp": """
+    "src/common/telemetry.hpp": """
 namespace explora::common {
 class BadDeque {
   // atomics-ok: totally-novel-category (not in the vocabulary)
@@ -494,7 +493,7 @@ std::atomic<int> rogue{0};
 }
 
 GOOD_ATOMICS = {
-    "src/common/wsdeque.hpp": """
+    "src/common/telemetry.hpp": """
 namespace explora::common {
 class GoodDeque {
   std::atomic<long> top_{0};
@@ -517,7 +516,7 @@ class GoodDeque {
 };
 }
 """,
-    "src/common/wsdeque.cpp": """
+    "src/common/telemetry.cpp": """
 namespace explora::common {
 void forward_store(std::atomic<long>& cell, long v,
                    std::memory_order order) {
@@ -543,14 +542,19 @@ def self_test() -> int:
     ok = ok and by_rule.get("atomic-outside-allowlist", ("",))[0] == \
         "src/netsim/bad.cpp"
     ok = ok and by_rule.get("atomic-relaxed-publish", ("",))[0] == \
-        "src/common/wsdeque.hpp"
+        "src/common/telemetry.hpp"
     ok = ok and not good
     top = good_vars.get("top_")
     ok = ok and top is not None and top.has_acquire_reader() \
         and top.has_release_writer()
     cell = good_vars.get("cell")
     ok = ok and cell is not None and cell.orders() == {"forwarded"}
-    return lintlib.self_test_verdict(ok, bad, good)
+    reserved = {rel: "corpus" for rel in GOOD_ATOMICS}
+    reserved["src/common/reserved_slot.hpp"] = "reserved for future code"
+    stale = stale_allowlist(GOOD_ATOMICS, reserved)
+    ok = ok and [(rel, rule) for rel, _, rule, _ in stale] == \
+        [("src/common/reserved_slot.hpp", "atomic-allowlist-stale")]
+    return lintlib.self_test_verdict(ok, bad + stale, good)
 
 
 # --------------------------------------------------------------------------
@@ -586,8 +590,9 @@ std::atomic<int> injected_rogue{0};
 
 def prove_detection(root: pathlib.Path) -> int:
     """Copies src/ to a temp tree, checks the clean copy is clean, then
-    injects a cross-TU relaxed-publish ordering bug and an unapproved
-    atomic and requires both to be caught."""
+    appends a cross-TU relaxed-publish ordering bug to the allowlisted
+    telemetry header/source pair, adds an unapproved atomic, and requires
+    both to be caught."""
     with tempfile.TemporaryDirectory() as td:
         tmp = pathlib.Path(td)
         shutil.copytree(root / "src", tmp / "src")
@@ -598,10 +603,14 @@ def prove_detection(root: pathlib.Path) -> int:
             for rel, line, rule, detail in clean:
                 print(f"  {rel}:{line}: [{rule}] {detail}")
             return 1
-        (tmp / "src/common/wsdeque.hpp").write_text(
-            INJECTED_ORDER_BUG_HPP, encoding="utf-8")
-        (tmp / "src/common/wsdeque.cpp").write_text(
-            INJECTED_ORDER_BUG_CPP, encoding="utf-8")
+        for rel, text in (("src/common/telemetry.hpp",
+                           INJECTED_ORDER_BUG_HPP),
+                          ("src/common/telemetry.cpp",
+                           INJECTED_ORDER_BUG_CPP)):
+            target = tmp / rel
+            target.write_text(
+                target.read_text(encoding="utf-8") + "\n" + text,
+                encoding="utf-8")
         (tmp / "src/netsim/injected_atomics.cpp").write_text(
             INJECTED_ROGUE, encoding="utf-8")
         _, found, _ = analyze(read_sources(tmp), ALLOWLIST)
