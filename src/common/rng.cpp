@@ -98,12 +98,26 @@ double Rng::exponential(double rate) noexcept {
   return -std::log(u) / rate;
 }
 
+namespace {
+
+// Largest mean (exclusive) drawn by Knuth's method.
+constexpr double kKnuthMaxMean = 64.0;
+
+}  // namespace
+
+double Rng::poisson_threshold(double mean) noexcept {
+  return mean < kKnuthMaxMean ? std::exp(-mean) : 0.0;
+}
+
 std::uint32_t Rng::poisson(double mean) noexcept {
+  return poisson(mean, poisson_threshold(mean));
+}
+
+std::uint32_t Rng::poisson(double mean, double threshold) noexcept {
   EXPLORA_EXPECTS(mean >= 0.0);
   if (mean == 0.0) return 0;  // det-ok: float-eq (degenerate-rate short-circuit)
-  if (mean < 64.0) {
+  if (mean < kKnuthMaxMean) {
     // Knuth's multiplication method.
-    const double threshold = std::exp(-mean);
     std::uint32_t count = 0;
     double product = uniform();
     while (product > threshold) {

@@ -65,6 +65,11 @@ class Rng {
   /// Poisson-distributed count with the given mean (Knuth for small means,
   /// normal approximation above 64).
   [[nodiscard]] std::uint32_t poisson(double mean) noexcept;
+  /// poisson(mean) with Knuth's threshold precomputed by
+  /// poisson_threshold(mean), for callers that draw at a fixed mean.
+  [[nodiscard]] std::uint32_t poisson(double mean, double threshold) noexcept;
+  /// Knuth's threshold exp(-mean) for the small means it serves (0 above).
+  [[nodiscard]] static double poisson_threshold(double mean) noexcept;
   /// True with probability p (clamped to [0,1]).
   [[nodiscard]] bool bernoulli(double p) noexcept;
   /// Uniform index in [0, n); n must be > 0.

@@ -26,6 +26,11 @@ constexpr double kSubcarriersPerPrb = 12.0;
 constexpr double kSymbolsPerTti = 14.0;
 constexpr double kOverheadFactor = 0.75;  // PDCCH + DMRS overhead
 
+/// Rayleigh power gain in dB, floored at -60 dB.
+double fading_gain_db(double gain) {
+  return 10.0 * std::log10(std::max(gain, 1e-6));
+}
+
 }  // namespace
 
 // Largest transport-block size one PRB can carry in one TTI: CQI 15
@@ -63,13 +68,18 @@ std::uint32_t cqi_bytes_per_prb(std::uint32_t cqi) {
 
 UeChannel::UeChannel(double distance_m, const ChannelConfig& config,
                      common::Rng rng)
-    : distance_m_(distance_m), config_(config), rng_(rng) {
+    : distance_m_(distance_m),
+      config_(config),
+      rng_(rng),
+      innovation_sigma_(
+          config_.shadowing_sigma_db *
+          std::sqrt(1.0 - config_.shadowing_rho * config_.shadowing_rho)) {
   EXPLORA_EXPECTS(distance_m > 1.0);
   set_distance(distance_m);
   if (config_.fading_enabled) {
     // Warm-start shadowing from its stationary distribution.
     shadowing_db_ = rng_.normal(0.0, config_.shadowing_sigma_db);
-    fading_gain_ = rng_.exponential(1.0);
+    fading_db_ = fading_gain_db(rng_.exponential(1.0));
   }
   refresh_sinr();
 }
@@ -112,32 +122,19 @@ void UeChannel::advance() noexcept {
   }
   if (!config_.fading_enabled) return;
   // AR(1) shadowing: rho-correlated Gaussian with stationary sigma.
-  const double innovation_sigma =
-      config_.shadowing_sigma_db *
-      std::sqrt(1.0 - config_.shadowing_rho * config_.shadowing_rho);
   shadowing_db_ = config_.shadowing_rho * shadowing_db_ +
-                  rng_.normal(0.0, innovation_sigma);
+                  rng_.normal(0.0, innovation_sigma_);
   if (++ttis_into_block_ >= config_.fading_block_ttis) {
     ttis_into_block_ = 0;
-    fading_gain_ = rng_.exponential(1.0);  // Rayleigh power gain
+    fading_db_ = fading_gain_db(rng_.exponential(1.0));  // Rayleigh power gain
   }
   refresh_sinr();
 }
 
 void UeChannel::refresh_sinr() noexcept {
-  const double fading_db =
-      10.0 * std::log10(std::max(fading_gain_, 1e-6));
-  sinr_db_ = mean_snr_db_ + shadowing_db_ + fading_db;
-}
-
-std::uint32_t UeChannel::cqi() const noexcept { return sinr_to_cqi(sinr_db_); }
-
-std::uint32_t UeChannel::bytes_per_prb() const noexcept {
-  return cqi_bytes_per_prb(cqi());
-}
-
-double UeChannel::bits_per_prb() const noexcept {
-  return static_cast<double>(bytes_per_prb()) * 8.0;
+  sinr_db_ = mean_snr_db_ + shadowing_db_ + fading_db_;
+  cqi_ = sinr_to_cqi(sinr_db_);
+  bytes_per_prb_ = cqi_bytes_per_prb(cqi_);
 }
 
 }  // namespace explora::netsim

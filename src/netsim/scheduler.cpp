@@ -16,6 +16,24 @@ EXPLORA_REALTIME std::uint64_t serve_one_prb(Ue& ue) {
   return ue.serve(ue.channel().bytes_per_prb());
 }
 
+/// PRBs a backlogged UE takes when served until it drains: the fewest
+/// whole PRBs that cover its buffer, capped by the `remaining` budget.
+EXPLORA_REALTIME std::uint32_t prb_run_length(const Ue& ue,
+                                              std::uint32_t remaining) {
+  const std::uint64_t per_prb = ue.channel().bytes_per_prb();
+  EXPLORA_ASSERT(per_prb > 0);  // CQI >= 1 carries at least 2 bytes
+  const std::uint64_t to_drain = (ue.buffer_bytes() + per_prb - 1) / per_prb;
+  return static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(remaining, to_drain));
+}
+
+/// Serves a run of `prbs` PRBs to a UE in one Ue::serve call; returns bytes
+/// actually sent. Equal to `prbs` serve_one_prb calls: the TBS holds for
+/// the whole TTI and serve() drains the packet queue in order.
+EXPLORA_REALTIME std::uint64_t serve_prb_run(Ue& ue, std::uint32_t prbs) {
+  return ue.serve(std::uint64_t{prbs} * ue.channel().bytes_per_prb());
+}
+
 /// Collects the subset of UEs with buffered data into `out`, a scratch
 /// vector owned by the scheduler: its capacity survives across TTIs, so
 /// after the first few TTIs of a configuration the grant loop runs
@@ -162,12 +180,12 @@ EXPLORA_REALTIME void WaterfillingScheduler::schedule_tti(
     }
     return a->id() < b->id();
   });
+  // Each UE takes PRBs until it drains, then the rest spills to the next.
   std::uint32_t remaining = prb_budget;
   for (Ue* ue : active) {
-    while (remaining > 0 && ue->has_data()) {
-      serve_one_prb(*ue);
-      --remaining;
-    }
+    const std::uint32_t run = prb_run_length(*ue, remaining);
+    serve_prb_run(*ue, run);
+    remaining -= run;
     if (remaining == 0) break;
   }
   EXPLORA_ENSURES_MSG(remaining <= prb_budget,
@@ -194,6 +212,9 @@ EXPLORA_REALTIME void ProportionalFairScheduler::schedule_tti(
     std::uint32_t remaining = prb_budget;
     while (remaining > 0) {
       // Pick the user with the best instantaneous-rate / average ratio.
+      // Neither term changes within the TTI (the averages update after
+      // the grant loop), so the winner keeps every PRB until it drains:
+      // serve that run in one call.
       double best_metric = -1.0;
       std::size_t best = active.size();
       for (std::size_t i = 0; i < active.size(); ++i) {
@@ -207,9 +228,10 @@ EXPLORA_REALTIME void ProportionalFairScheduler::schedule_tti(
         }
       }
       if (best == active.size()) break;  // all drained
-      const std::uint64_t sent = serve_one_prb(*active[best]);
+      const std::uint32_t run = prb_run_length(*active[best], remaining);
+      const std::uint64_t sent = serve_prb_run(*active[best], run);
       served_bits[best] += static_cast<double>(sent) * 8.0;
-      --remaining;
+      remaining -= run;
     }
     EXPLORA_ENSURES_MSG(remaining <= prb_budget,
                         "PF served {} PRBs over a budget of {}",

@@ -33,13 +33,15 @@ PoissonSource::PoissonSource(double rate_bps, std::uint32_t packet_bytes,
       packet_bytes_(packet_bytes),
       packets_per_tti_(rate_bps / 8.0 / static_cast<double>(packet_bytes) /
                        kTtisPerSecond),
+      knuth_threshold_(common::Rng::poisson_threshold(packets_per_tti_)),
       rng_(rng) {
   EXPLORA_EXPECTS(rate_bps > 0.0);
   EXPLORA_EXPECTS(packet_bytes > 0);
 }
 
 ArrivalBatch PoissonSource::arrivals(Tick /*now*/) {
-  const std::uint32_t packets = rng_.poisson(packets_per_tti_);
+  const std::uint32_t packets =
+      rng_.poisson(packets_per_tti_, knuth_threshold_);
   return ArrivalBatch{
       .bytes = static_cast<std::uint64_t>(packets) * packet_bytes_,
       .packets = packets,

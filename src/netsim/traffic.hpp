@@ -62,6 +62,7 @@ class PoissonSource final : public TrafficSource {
   double rate_bps_;
   std::uint32_t packet_bytes_;
   double packets_per_tti_;
+  double knuth_threshold_;  ///< Rng::poisson_threshold(packets_per_tti_)
   common::Rng rng_;
 };
 

@@ -123,17 +123,65 @@ TEST(UeChannel, SameSeedSameTrace) {
   }
 }
 
-// Property sweep: bytes_per_prb is always consistent with the CQI table.
+// The cached link adaptation must equal a fresh derivation from the SINR.
+void expect_link_adaptation_matches_sinr(const UeChannel& channel) {
+  const std::uint32_t cqi = sinr_to_cqi(channel.sinr_db());
+  EXPECT_EQ(channel.cqi(), cqi);
+  EXPECT_EQ(channel.bytes_per_prb(), cqi_bytes_per_prb(cqi));
+  EXPECT_DOUBLE_EQ(channel.bits_per_prb(),
+                   static_cast<double>(cqi_bytes_per_prb(cqi)) * 8.0);
+}
+
+// Property sweep: CQI and bytes_per_prb always follow the current SINR
+// through the CQI table.
 class ChannelDistanceSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(ChannelDistanceSweep, BytesMatchCqiTable) {
   ChannelConfig config;
   UeChannel channel(GetParam(), config, common::Rng(7));
+  expect_link_adaptation_matches_sinr(channel);
   for (int i = 0; i < 500; ++i) {
     channel.advance();
-    EXPECT_EQ(channel.bytes_per_prb(), cqi_bytes_per_prb(channel.cqi()));
-    EXPECT_DOUBLE_EQ(channel.bits_per_prb(),
-                     static_cast<double>(channel.bytes_per_prb()) * 8.0);
+    expect_link_adaptation_matches_sinr(channel);
+  }
+}
+
+TEST_P(ChannelDistanceSweep, LinkAdaptationFollowsExternalMoves) {
+  for (const bool fading : {true, false}) {
+    ChannelConfig config;
+    config.fading_enabled = fading;
+    UeChannel channel(GetParam(), config, common::Rng(8));
+    common::Rng moves(9);
+    for (int i = 0; i < 500; ++i) {
+      channel.advance();
+      expect_link_adaptation_matches_sinr(channel);
+      // Between TTIs, jump to a new distance (a scenario change).
+      channel.set_distance(moves.uniform(60.0, 2900.0));
+      expect_link_adaptation_matches_sinr(channel);
+    }
+  }
+}
+
+TEST_P(ChannelDistanceSweep, LinkAdaptationFollowsMobility) {
+  for (const bool fading : {true, false}) {
+    ChannelConfig config;
+    config.fading_enabled = fading;
+    UeChannel channel(GetParam(), config, common::Rng(10));
+    channel.set_mobility(MobilityConfig{.speed_mps = 400.0});
+    const double start = channel.distance_m();
+    std::uint32_t cqi_changes = 0;
+    std::uint32_t previous_cqi = channel.cqi();
+    for (int i = 0; i < 5000; ++i) {
+      channel.advance();
+      expect_link_adaptation_matches_sinr(channel);
+      if (channel.cqi() != previous_cqi) ++cqi_changes;
+      previous_cqi = channel.cqi();
+    }
+    EXPECT_NE(channel.distance_m(), start);  // five mobility steps ran
+    // Without fading, only the mobility steps can move the CQI.
+    if (!fading) {
+      EXPECT_LE(cqi_changes, 5u);
+    }
   }
 }
 
