@@ -4,7 +4,9 @@
 // cost EXPLORA adds.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -220,16 +222,24 @@ BENCHMARK(BM_MlpForwardBatch)->Arg(64)->Arg(256);
 
 // ---- substrate hot paths ---------------------------------------------------
 
+// Arg: the scheduler every slice runs — 0 the gNB's default round robin,
+// 1 waterfilling, 2 proportional fair (the agent picks all three).
 void BM_GnbReportWindow(benchmark::State& state) {
   netsim::ScenarioConfig scenario;
   scenario.users_per_slice = {2, 2, 2};
   auto gnb = netsim::make_gnb(scenario);
+  const auto policy = static_cast<netsim::SchedulerPolicy>(state.range(0));
+  netsim::SlicingControl control = gnb->control();
+  control.scheduling.fill(policy);
+  gnb->apply_control(control);
+  state.SetLabel(
+      std::array{"RR", "WF", "PF"}[static_cast<std::size_t>(state.range(0))]);
   for (auto _ : state) {
     benchmark::DoNotOptimize(gnb->run_report_window());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 25);
 }
-BENCHMARK(BM_GnbReportWindow);
+BENCHMARK(BM_GnbReportWindow)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_AutoencoderEncode(benchmark::State& state) {
   ml::Autoencoder autoencoder;
@@ -293,13 +303,19 @@ void BM_WireDecodeKpm(benchmark::State& state) {
 }
 BENCHMARK(BM_WireDecodeKpm);
 
+// Args: rows, and whether features are quantised to half-units (about
+// nine distinct values per column, so ties are heavy) or Gaussian.
 void BM_DecisionTreeFit(benchmark::State& state) {
   common::Rng rng(9);
   xai::Dataset data;
   const auto n = static_cast<std::size_t>(state.range(0));
+  const bool quantised = state.range(1) != 0;
   for (std::size_t i = 0; i < n; ++i) {
     xai::Vector row(9);
-    for (auto& v : row) v = rng.normal(0.0, 1.0);
+    for (auto& v : row) {
+      v = rng.normal(0.0, 1.0);
+      if (quantised) v = std::round(2.0 * v) / 2.0;
+    }
     data.labels.push_back(row[0] > 0 ? (row[1] > 0 ? 0u : 1u)
                                      : (row[2] > 0 ? 2u : 3u));
     data.features.push_back(std::move(row));
@@ -310,7 +326,11 @@ void BM_DecisionTreeFit(benchmark::State& state) {
     benchmark::DoNotOptimize(tree);
   }
 }
-BENCHMARK(BM_DecisionTreeFit)->Arg(512)->Arg(2048);
+BENCHMARK(BM_DecisionTreeFit)
+    ->Args({512, 0})
+    ->Args({2048, 0})
+    ->Args({512, 1})
+    ->Args({2048, 1});
 
 // ---- serial-vs-parallel JSON report ---------------------------------------
 //

@@ -5,6 +5,9 @@
 //     the tool EXPLORA uses to distill knowledge from the attributed graph
 //     (paper §4.3, Fig. 8/14) and the baseline that fails when applied
 //     directly to the agent (Table 1).
+// Both grow through one split search: each fit presorts every feature once
+// (ties by row index) and partitions those orders down the tree, so no node
+// sorts; only the impurity accumulator differs between the two trees.
 #pragma once
 
 #include <cstdint>
@@ -54,12 +57,12 @@ class RegressionTree {
   [[nodiscard]] std::size_t node_count() const noexcept {
     return nodes_.size();
   }
+  /// Nodes in pre-order; index 0 is the root.
+  [[nodiscard]] const std::vector<TreeNode>& nodes() const noexcept {
+    return nodes_;
+  }
 
  private:
-  std::int32_t build(const std::vector<Vector>& features,
-                     const Vector& targets, std::vector<std::size_t>& rows,
-                     std::size_t depth);
-
   Config config_;
   std::vector<TreeNode> nodes_;
 };
@@ -114,16 +117,16 @@ class DecisionTreeClassifier {
   [[nodiscard]] std::size_t node_count() const noexcept {
     return nodes_.size();
   }
+  /// Nodes in pre-order; index 0 is the root.
+  [[nodiscard]] const std::vector<TreeNode>& nodes() const noexcept {
+    return nodes_;
+  }
   [[nodiscard]] std::size_t depth() const noexcept;
   [[nodiscard]] std::size_t num_classes() const noexcept {
     return num_classes_;
   }
 
  private:
-  std::int32_t build(const Dataset& data, std::vector<std::size_t>& rows,
-                     std::size_t depth);
-  [[nodiscard]] double impurity(const std::vector<double>& counts,
-                                double total) const;
   [[nodiscard]] const TreeNode& walk(const Vector& x) const;
 
   Config config_;
